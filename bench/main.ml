@@ -1583,18 +1583,109 @@ let join_json env =
                  results) );
         ]
 
-let emit_json ~mode ~path env =
+(* ------------------------------------------------------------------- *)
+(* The load-path sweep (JSON section "load")                            *)
+(* ------------------------------------------------------------------- *)
+
+(* LUBM prefixes at three or more sizes, each taken end to end: the
+   N-Triples text is parsed, encoded into a fresh dictionary and bulk
+   loaded.  [build_seconds] is the best of five untraced loads (the
+   figure bench_check fits its log-log growth slope to); one more load with
+   telemetry on splits the build into the self time of its spans: the
+   sorts, the three family passes (link) and the header/vector merges.
+   [peak_heap_mb] is the process's major-heap high-water mark after the
+   size's loads.  The heap never shrinks (OCaml 5.1 does not compact), so
+   the sweep runs first in the process and in ascending size order: each
+   figure is then that size's peak — N-Triples text, parsed terms,
+   dictionary, id array, store and GC slack. *)
+let load_sizes = function
+  | Smoke -> [ 2_000; 4_000; 8_000 ]
+  | Quick -> [ 100_000; 200_000; 400_000 ]
+  | Full -> [ 200_000; 400_000; 800_000; 1_600_000 ]
+
+(* Self time per span name prefix: duration minus direct children. *)
+let span_self_seconds spans prefix =
+  let child_time = Hashtbl.create 16 in
+  List.iter
+    (fun (sp : Telemetry.Trace.span) ->
+      Option.iter
+        (fun p ->
+        Hashtbl.replace child_time p
+          (sp.duration +. Option.value ~default:0. (Hashtbl.find_opt child_time p)))
+        sp.parent)
+    spans;
+  List.fold_left
+    (fun acc (sp : Telemetry.Trace.span) ->
+      if String.starts_with ~prefix sp.name then
+        acc +. sp.duration -. Option.value ~default:0. (Hashtbl.find_opt child_time sp.id)
+      else acc)
+    0. spans
+
+let load_json ~mode =
+  let lubm = Lubm.config ~universities:64 ~departments_per_university:8 ~seed:42 () in
+  let timed f =
+    let t0 = Telemetry.Clock.now () in
+    let r = f () in
+    (Telemetry.Clock.now () -. t0, r)
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let nt = Rdf.Ntriples.print_string (List.of_seq (Seq.take n (Lubm.generate_seq lubm))) in
+        let parse_s, triples = timed (fun () -> Rdf.Ntriples.parse_string nt) in
+        let dict = Dict.Term_dict.create () in
+        let encode_s, ids =
+          timed (fun () -> Array.of_list (List.map (Dict.Term_dict.encode_triple dict) triples))
+        in
+        let build () =
+          let h = Hexa.Hexastore.create ~dict ~repr:Vectors.Sorted_ivec.Raw () in
+          ignore (Hexa.Hexastore.add_bulk_ids h ids)
+        in
+        let build_s =
+          List.fold_left min infinity
+            (List.init 5 (fun _ ->
+                 Gc.full_major ();
+                 fst (timed build)))
+        in
+        Telemetry.Trace.clear ();
+        Telemetry.with_enabled true build;
+        let spans = Telemetry.Trace.spans () in
+        Telemetry.Trace.clear ();
+        let phase prefix = Telemetry.Json.Float (span_self_seconds spans prefix) in
+        let peak_mb =
+          float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
+        in
+        Format.printf "# load: %d triples, build %.3fs@." (Array.length ids) build_s;
+        Telemetry.Json.Obj
+          [
+            ("triples", Telemetry.Json.Int (Array.length ids));
+            ("nt_bytes", Telemetry.Json.Int (String.length nt));
+            ("parse_seconds", Telemetry.Json.Float parse_s);
+            ("encode_seconds", Telemetry.Json.Float encode_s);
+            ("build_seconds", Telemetry.Json.Float build_s);
+            ("sort_seconds", phase "index.bulk.sort");
+            ("link_seconds", phase "index.bulk.link.");
+            ("merge_seconds", phase "index.bulk.merge");
+            ("peak_heap_mb", Telemetry.Json.Float peak_mb);
+          ])
+      (load_sizes mode)
+  in
+  Telemetry.Json.Obj
+    [ ("workload", Telemetry.Json.String "lubm"); ("sizes", Telemetry.Json.List rows) ]
+
+let emit_json ~mode ~path ~load env =
   let overhead_triples, off_s, on_s = telemetry_overhead () in
   let json =
     Telemetry.Json.Obj
       [
         ("schema", Telemetry.Json.String "hexastore-bench/v1");
-        ("pr", Telemetry.Json.Int 10);
+        ("pr", Telemetry.Json.Int 13);
         ("mode", Telemetry.Json.String (mode_name mode));
         ("join", join_json env);
         ("parallel", parallel_json env);
         ("pool", pool_json env);
         ("repr", repr_json env);
+        ("load", load);
         ("profiling", profiling_json ~mode env);
         ( "workloads",
           Telemetry.Json.Obj
@@ -1717,8 +1808,11 @@ let run_bench full smoke selected bechamel list_only json_path =
                     None)
               names
       in
+      (* Before the figures: the load sweep's heap high-water marks are
+         only its own while no figure's stores have been built. *)
+      let load = Option.map (fun _ -> load_json ~mode) json_path in
       List.iter (fun (_, f) -> f env) to_run;
-      Option.iter (fun path -> emit_json ~mode ~path env) json_path
+      Option.iter (fun path -> emit_json ~mode ~path ~load:(Option.get load) env) json_path
     end;
     0
   end

@@ -319,6 +319,81 @@ let check_repr ~pr ~mode json =
           "repr: no compressed representation clears the bars (>= 2.5x memory reduction on \
            both workloads, join wall within 1.3x of raw)"
 
+(* The load-path section: LUBM loaded end to end at three or more
+   sizes, with per-phase seconds (parse, encode, sort, link, merge) and
+   the heap high-water mark.  Required in artifacts whose "pr" field is
+   13 or more.  The bar is the
+   growth rate: the least-squares slope of log build seconds against
+   log triples, refitted here from the points, must stay at or under
+   1.15 — a quadratic step in index maintenance shows up as a slope
+   near 2 long before it dominates wall time.  Smoke runs (a few
+   thousand triples, millisecond builds) only validate the schema. *)
+let max_build_slope = 1.15
+
+(* Least-squares slope of y against x. *)
+let fit_slope points =
+  let n = float_of_int (List.length points) in
+  let mx = List.fold_left (fun a (x, _) -> a +. x) 0. points /. n in
+  let my = List.fold_left (fun a (_, y) -> a +. y) 0. points /. n in
+  let sxy = List.fold_left (fun a (x, y) -> a +. ((x -. mx) *. (y -. my))) 0. points in
+  let sxx = List.fold_left (fun a (x, _) -> a +. ((x -. mx) *. (x -. mx))) 0. points in
+  if sxx <= 0. then fail "load: sizes must differ";
+  sxy /. sxx
+
+(* (triples, build seconds) per load size; [] without a load section. *)
+let load_points json =
+  match Option.bind (Telemetry.Json.member "load" json) (Telemetry.Json.member "sizes") with
+  | Some (Telemetry.Json.List rows) ->
+      List.map
+        (fun row ->
+          let num k = require_number ~ctx:"load.sizes" row k in
+          (num "triples", num "build_seconds"))
+        rows
+  | _ -> []
+
+(* The log-log slope of build seconds against triples. *)
+let build_slope json =
+  fit_slope (List.map (fun (n, secs) -> (log n, log secs)) (load_points json))
+
+let check_load ~pr ~mode json =
+  match Telemetry.Json.member "load" json with
+  | None | Some Telemetry.Json.Null ->
+      if pr >= 13 then fail "load section missing (required since artifact pr 13)"
+  | Some load ->
+      let sizes =
+        match require ~ctx:"load" load "sizes" with
+        | Telemetry.Json.List l -> l
+        | _ -> fail "load.sizes is not a list"
+      in
+      if List.length sizes < 3 then fail "load: %d sizes, at least 3 required" (List.length sizes);
+      List.iteri
+        (fun i row ->
+          let ctx = Printf.sprintf "load.sizes[%d]" i in
+          let num k = require_number ~ctx row k in
+          List.iter
+            (fun k -> if num k < 0. then fail "%s: negative %s" ctx k)
+            [
+              "nt_bytes"; "parse_seconds"; "encode_seconds"; "sort_seconds"; "link_seconds";
+              "merge_seconds";
+            ];
+          if num "triples" <= 0. then fail "%s: non-positive triples" ctx;
+          if num "build_seconds" <= 0. then fail "%s: non-positive build_seconds" ctx;
+          if num "peak_heap_mb" <= 0. then fail "%s: non-positive peak_heap_mb" ctx;
+          Printf.printf
+            "bench-check: load %g triples: parse %.3fs encode %.3fs build %.3fs (sort %.3f, \
+             link %.3f, merge %.3f), peak heap %.1f MB\n"
+            (num "triples") (num "parse_seconds") (num "encode_seconds") (num "build_seconds")
+            (num "sort_seconds") (num "link_seconds") (num "merge_seconds")
+            (num "peak_heap_mb"))
+        sizes;
+      let slope = build_slope json in
+      Printf.printf "bench-check: load build log-log slope %.3f (bar %.2f%s)\n" slope
+        max_build_slope
+        (if String.equal mode "smoke" then ", not enforced in smoke mode" else "");
+      if (not (String.equal mode "smoke")) && slope > max_build_slope then
+        fail "load: build time grows with slope %.3f > %.2f (super-linear bulk load)" slope
+          max_build_slope
+
 let parse_file path =
   match Telemetry.Json.of_string (read_file path) with
   | Ok j -> j
@@ -326,9 +401,11 @@ let parse_file path =
 
 (* --compare OLD NEW: flag >2x wall-time or probe-count regressions on
    every query the two artifacts share (workload queries by total probe
-   count, join queries per arm), plus >1.5x memory_mb growth on shared
-   workload figures when both artifacts carry PR 10's exact accounting
-   (older gauges were coarse, so cross-era ratios would be noise). *)
+   count, join queries per arm) and on load build times at shared
+   sizes, a build slope over the load bar in NEW, plus >1.5x memory_mb
+   growth on shared workload figures when both artifacts carry the
+   exact accounting of "pr" 10 on (older gauges were coarse, so
+   cross-era ratios would be noise). *)
 let compare_files old_path new_path =
   let old_json = parse_file old_path and new_json = parse_file new_path in
   let regressions = ref [] in
@@ -388,6 +465,25 @@ let compare_files old_path new_path =
         | _ -> ())
       [ "lubm"; "barton" ]
   end;
+  (* The load sweep: the newer artifact's build slope must keep the bar
+     (outside smoke mode), and a size both artifacts loaded may not
+     build more than 2x slower. *)
+  let mode_of json =
+    match Telemetry.Json.member "mode" json with Some (Telemetry.Json.String m) -> m | _ -> ""
+  in
+  let new_load = load_points new_json in
+  if List.length new_load >= 2 && not (String.equal (mode_of new_json) "smoke") then begin
+    let slope = build_slope new_json in
+    if slope > max_build_slope then
+      regressions :=
+        Printf.sprintf "load.build_slope: %.3f > %.2f" slope max_build_slope :: !regressions
+  end;
+  List.iter
+    (fun (n, old_s) ->
+      Option.iter
+        (flag (Printf.sprintf "load.%g.build_seconds" n) old_s)
+        (List.assoc_opt n new_load))
+    (load_points old_json);
   let old_join = queries_of "join" old_json [ "join"; "queries" ]
   and new_join = queries_of "join" new_json [ "join"; "queries" ] in
   List.iter
@@ -436,6 +532,7 @@ let () =
   let workloads = require ~ctx:"root" json "workloads" in
   check_workload "lubm" (require ~ctx:"workloads" workloads "lubm");
   check_workload "barton" (require ~ctx:"workloads" workloads "barton");
+  check_load ~pr ~mode json;
   check_join ~mode json;
   check_profiling ~pr ~mode json;
   check_parallel ~pr ~mode json;

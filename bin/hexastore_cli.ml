@@ -157,6 +157,26 @@ let explain_cmd =
 
 (* --- profile ---------------------------------------------------------- *)
 
+(* Load-path spans (bulk load, bulk delete, delta flush) totalled per
+   phase name, in first-completion order: (name, spans, seconds). *)
+let load_phases () =
+  let is_load (sp : Telemetry.Trace.span) =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix sp.name)
+      [ "hexastore."; "index.bulk."; "delta." ]
+  in
+  List.fold_left
+    (fun acc (sp : Telemetry.Trace.span) ->
+      if not (is_load sp) then acc
+      else
+        if List.mem_assoc sp.name acc then
+          List.map
+            (fun ((name, (n, s)) as e) ->
+              if String.equal name sp.name then (name, (n + 1, s +. sp.duration)) else e)
+            acc
+        else acc @ [ (sp.name, (1, sp.duration)) ])
+    [] (Telemetry.Trace.spans ())
+
 let profile_cmd =
   let query_arg =
     Arg.(
@@ -202,6 +222,17 @@ let profile_cmd =
                     ("rows", Telemetry.Json.Int rows);
                     ("profile", Telemetry.Profile.delta_to_json delta);
                     ("plan", Query.Exec.explain_to_json plan);
+                    ( "load_phases",
+                      Telemetry.Json.Obj
+                        (List.map
+                           (fun (name, (n, secs)) ->
+                             ( name,
+                               Telemetry.Json.Obj
+                                 [
+                                   ("spans", Telemetry.Json.Int n);
+                                   ("seconds", Telemetry.Json.Float secs);
+                                 ] ))
+                           (load_phases ())) );
                     ("slow_queries", Telemetry.Profile.slow_log_to_json ());
                     ("events", Telemetry.Events.to_json ());
                   ]))
@@ -215,6 +246,10 @@ let profile_cmd =
             probes delta.Telemetry.Profile.alloc_words;
           Format.printf "@.plan (--analyze, per-node rows/time/probes/gc):@.%a@."
             Query.Exec.pp_explain plan;
+          Format.printf "@.load phases (spans, seconds incl. nested):@.";
+          List.iter
+            (fun (name, (n, secs)) -> Format.printf "  %-36s %4d %10.4f@." name n secs)
+            (load_phases ());
           Format.printf "@.counter deltas:@.";
           List.iter
             (fun (n, v) -> Format.printf "  %-48s %+d@." n v)

@@ -17,7 +17,8 @@
       engine (including the [domain-unsafe-global] attestation gate).
 
     [debug] re-exports {!Hexa.Debug.enabled}: setting it to [true] makes
-    [Hexastore.add_ids]/[remove_ids] re-validate every vector and list
+    [Hexastore.add_ids]/[remove_ids] and the batch paths
+    ([add_bulk_ids]/[remove_bulk_ids]) re-validate every vector and list
     they touch (off by default; also enabled by [HEXASTORE_DEBUG=1]). *)
 
 module Violation = Violation

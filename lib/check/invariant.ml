@@ -63,7 +63,20 @@ let index_acc acc ~path idx =
       if Pair_vector.length v = 0 then
         add acc (V.v V.Index ~path:vpath "empty vector under header (should be pruned)");
       pair_vector_acc acc ~path:vpath v)
-    idx
+    idx;
+  (* The sorted header vector merge scans seek into must list exactly
+     the headers present — the batch paths merge it separately. *)
+  let hs = Index.headers_view idx in
+  sorted_ivec_acc acc ~path:(path ^ ".headers") hs;
+  if Sorted_ivec.length hs <> Index.header_count idx then
+    add acc
+      (V.v V.Index ~path "sorted header vector holds %d headers, index has %d"
+         (Sorted_ivec.length hs) (Index.header_count idx));
+  Sorted_ivec.iter
+    (fun h ->
+      if Index.find_vector idx h = None then
+        add acc (V.v V.Index ~path "sorted header vector lists absent header %d" h))
+    hs
 
 let index ?(path = "index") idx =
   let acc = ref [] in

@@ -32,30 +32,17 @@ let kind t = t.kind
 let dict t = t.dict
 let size t = t.size
 
-let get_or_create_list table key =
-  match Hashtbl.find_opt table key with
-  | Some l -> l
-  | None ->
-      let l = Sorted_ivec.create ~capacity:2 () in
-      Hashtbl.add table key l;
-      l
-
-let link index ~first ~second l =
-  let v = Index.get_or_create_vector index first in
-  ignore (Pair_vector.get_or_insert v second (fun () -> l));
-  Pair_vector.bump_total v 1
-
 let add_ids t ({ s; p; o } : Hexastore.id_triple) =
-  let o_list = get_or_create_list t.o_lists (Pair_key.make p s) in
+  let o_list = Index.get_or_create_list t.o_lists (Pair_key.make p s) in
   if not (Sorted_ivec.add o_list o) then false
   else begin
-    link t.pso ~first:p ~second:s o_list;
+    Index.link t.pso ~first:p ~second:s o_list;
     (match t.pos with
     | None -> ()
     | Some pos ->
-        let s_list = get_or_create_list t.s_lists (Pair_key.make p o) in
+        let s_list = Index.get_or_create_list t.s_lists (Pair_key.make p o) in
         ignore (Sorted_ivec.add s_list s);
-        link pos ~first:p ~second:o s_list);
+        Index.link pos ~first:p ~second:o s_list);
     t.size <- t.size + 1;
     true
   end
@@ -64,16 +51,6 @@ let mem_ids t ({ s; p; o } : Hexastore.id_triple) =
   match Hashtbl.find_opt t.o_lists (Pair_key.make p s) with
   | None -> false
   | Some l -> Sorted_ivec.mem l o
-
-let unlink index ~first ~second ~list_empty =
-  match Index.find_vector index first with
-  | None -> assert false
-  | Some v ->
-      Pair_vector.bump_total v (-1);
-      if list_empty then begin
-        ignore (Pair_vector.remove v second);
-        if Pair_vector.length v = 0 then ignore (Index.remove_header index first)
-      end
 
 let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
   let key_ps = Pair_key.make p s in
@@ -84,7 +61,7 @@ let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
       else begin
         let o_empty = Sorted_ivec.is_empty o_list in
         if o_empty then Hashtbl.remove t.o_lists key_ps;
-        unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
+        Index.unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
         (match t.pos with
         | None -> ()
         | Some pos ->
@@ -95,52 +72,31 @@ let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
                 ignore (Sorted_ivec.remove s_list s);
                 let s_empty = Sorted_ivec.is_empty s_list in
                 if s_empty then Hashtbl.remove t.s_lists key_po;
-                unlink pos ~first:p ~second:o ~list_empty:s_empty));
+                Index.unlink pos ~first:p ~second:o ~list_empty:s_empty));
         t.size <- t.size - 1;
         true
       end
 
-let cmp_pso (a : Hexastore.id_triple) (b : Hexastore.id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s b.s in
-    if c <> 0 then c else Int.compare a.o b.o
-
-let cmp_pos (a : Hexastore.id_triple) (b : Hexastore.id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.s b.s
+(* The o-list family (lists keyed (p, s), indexed by pso) and, for
+   Covp2, the s-list family (keyed (p, o), indexed by pos). *)
+let families t =
+  (Ordering.Pso, t.o_lists, [ (Ordering.Pso, t.pso) ])
+  ::
+  (match t.pos with
+  | None -> []
+  | Some pos -> [ (Ordering.Pos, t.s_lists, [ (Ordering.Pos, pos) ]) ])
 
 let add_bulk_ids t triples =
-  let arr = Array.copy triples in
-  Array.sort cmp_pso arr;
-  let fresh = ref [] in
-  let fresh_count = ref 0 in
-  Array.iter
-    (fun (tr : Hexastore.id_triple) ->
-      let o_list = get_or_create_list t.o_lists (Pair_key.make tr.p tr.s) in
-      if Sorted_ivec.add o_list tr.o then begin
-        link t.pso ~first:tr.p ~second:tr.s o_list;
-        fresh := tr :: !fresh;
-        incr fresh_count
-      end)
-    arr;
-  (match t.pos with
-  | None -> ()
-  | Some pos ->
-      let fresh = Array.of_list !fresh in
-      Array.sort cmp_pos fresh;
-      Array.iter
-        (fun (tr : Hexastore.id_triple) ->
-          let s_list = get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in
-          ignore (Sorted_ivec.add s_list tr.s);
-          link pos ~first:tr.p ~second:tr.o s_list)
-        fresh);
-  t.size <- t.size + !fresh_count;
-  !fresh_count
+  let fresh = Index.sort_run Ordering.Pso ~keep:(fun tr -> not (mem_ids t tr)) triples in
+  List.iter (fun (ord, lists, targets) -> Index.add_run ord lists targets fresh) (families t);
+  t.size <- t.size + Array.length fresh;
+  Array.length fresh
+
+let remove_bulk_ids t triples =
+  let present = Index.sort_run Ordering.Pso ~keep:(mem_ids t) triples in
+  List.iter (fun (ord, lists, targets) -> Index.remove_run ord lists targets present) (families t);
+  t.size <- t.size - Array.length present;
+  Array.length present
 
 let add t triple = add_ids t (Dict.Term_dict.encode_triple t.dict triple)
 

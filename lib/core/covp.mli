@@ -33,6 +33,10 @@ val mem_ids : t -> Hexastore.id_triple -> bool
 
 val add_bulk_ids : t -> Hexastore.id_triple array -> int
 
+val remove_bulk_ids : t -> Hexastore.id_triple array -> int
+(** The linear batch delete (see {!Hexastore.remove_bulk_ids}); returns
+    the number of triples removed. *)
+
 val add : t -> Rdf.Triple.t -> bool
 val of_triples : kind -> Rdf.Triple.t list -> t
 

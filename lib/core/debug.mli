@@ -4,7 +4,11 @@
     {!Hexastore.remove_ids} re-validate every vector and terminal list
     they touched (strict sortedness and pair-vector accounting) after the
     mutation, turning silent corruption into an immediate
-    [Assert_failure] at the operation that caused it.
+    [Assert_failure] at the operation that caused it.  The batch paths
+    ({!Hexastore.add_bulk_ids}/[remove_bulk_ids], and the same calls on
+    [Covp] and [Partial]) re-validate every terminal list they edited
+    and every index they merged into, header vector included; the store
+    counts one validation per batch call.
 
     The flag is [false] by default — the hooks cost a pass over the nine
     touched structures per mutation — and can be switched on for a

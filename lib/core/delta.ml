@@ -115,15 +115,17 @@ let note_pending t =
 
 (* --- flush ------------------------------------------------------------ *)
 
-(* A batch this large relative to the (post-delete) base triggers a full
-   rebuild: the whole merged set is re-loaded into a fresh store through
-   [add_bulk_ids]'s pure-append path, O((N + k) log (N + k)), instead of
-   k in-place binary insertions each moving O(vector) elements. *)
+(* A flush applies its tombstones with one [Hexastore.remove_bulk_ids]
+   and its inserts with one [add_bulk_ids]: each sorts its batch once
+   and merges into (or compacts) every touched list, pair vector and
+   header vector in one linear pass.  A batch this large relative to the
+   (post-delete) base touches most of the store anyway, so it triggers a
+   full rebuild instead: the whole merged set re-loaded into a fresh
+   store from one sorted run, O((N + k) log (N + k)). *)
 let rebuild_factor = 8
 
 let drain_pending t =
-  let deletes = Hashtbl.fold (fun tr () acc -> tr :: acc) t.deletes [] in
-  List.iter (fun tr -> ignore (Hexastore.remove_ids t.base tr)) deletes;
+  ignore (Hexastore.remove_bulk_ids t.base (Array.of_seq (Hashtbl.to_seq_keys t.deletes)) : int);
   Hashtbl.reset t.deletes;
   let batch = Array.make (Hashtbl.length t.inserts) { s = 0; p = 0; o = 0 } in
   let i = ref 0 in
@@ -157,6 +159,7 @@ let flush_with ?(auto = false) ~force_rebuild t =
   let timed = !Telemetry.Config.enabled in
   let started = if timed then Telemetry.Clock.now () else 0. in
   let pending, rebuild =
+    Telemetry.Trace.with_span "delta.flush" @@ fun () ->
     with_base_frozen t (fun () ->
         let pending = Hashtbl.length t.inserts + Hashtbl.length t.deletes in
         Telemetry.Metrics.incr m_flush;
@@ -266,66 +269,6 @@ let add_bulk_ids t batch =
 
 (* --- merged lookup ---------------------------------------------------- *)
 
-(* One comparator per index family; a pattern's matches agree on its
-   bound positions, so comparing the full triple in the serving index's
-   significance order ranks them exactly as the base scan emits them. *)
-let cmp_spo (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.s b.s in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.p b.p in
-    if c <> 0 then c else Int.compare a.o b.o
-
-let cmp_sop (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.s b.s in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.p b.p
-
-let cmp_pso (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s b.s in
-    if c <> 0 then c else Int.compare a.o b.o
-
-let cmp_pos (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.s b.s
-
-let cmp_osp (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.o b.o in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s b.s in
-    if c <> 0 then c else Int.compare a.p b.p
-
-let cmp_ops (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.o b.o in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.p b.p in
-    if c <> 0 then c else Int.compare a.s b.s
-
-let cmp_for_shape = function
-  | Pattern.All | Pattern.Sp | Pattern.S | Pattern.None_bound -> cmp_spo
-  | Pattern.So -> cmp_sop
-  | Pattern.P -> cmp_pso
-  | Pattern.Po -> cmp_pos
-  | Pattern.O -> cmp_osp
-
-let cmp_for_ordering = function
-  | Ordering.Spo -> cmp_spo
-  | Ordering.Sop -> cmp_sop
-  | Ordering.Pso -> cmp_pso
-  | Ordering.Pos -> cmp_pos
-  | Ordering.Osp -> cmp_osp
-  | Ordering.Ops -> cmp_ops
-
 (* Matching buffer entries, materialised and sorted at call time so the
    lazy merged sequence never reads a mutable hash table. *)
 let pending_matching table cmp pat =
@@ -339,7 +282,10 @@ let lookup t pat =
     Hexastore.lookup t.base pat
   else begin
     Telemetry.Metrics.incr m_merged;
-    let cmp = cmp_for_shape (Pattern.shape pat) in
+    (* A pattern's matches agree on its bound positions, so comparing
+       whole triples in the serving index's order ranks them exactly as
+       the base scan emits them. *)
+    let cmp = Ordering.compare_triples (Ordering.for_shape (Pattern.shape pat)) in
     let base_seq = Hexastore.lookup t.base pat in
     let dels = pending_matching t.deletes cmp pat in
     let inss = pending_matching t.inserts cmp pat in
@@ -370,7 +316,7 @@ let scan_sorted t pat pos =
       if Hashtbl.length t.inserts = 0 && Hashtbl.length t.deletes = 0 then Some (ord, base_seek)
       else begin
         Telemetry.Metrics.incr m_merged;
-        let cmp = cmp_for_ordering ord in
+        let cmp = Ordering.compare_triples ord in
         let value_of (tr : id_triple) =
           match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
         in

@@ -125,21 +125,6 @@ let pos t = note_ord Ordering.Pos; t.pos
 let osp t = note_ord Ordering.Osp; t.osp
 let ops t = note_ord Ordering.Ops; t.ops
 
-let get_or_create_list table key =
-  match Hashtbl.find_opt table key with
-  | Some l -> l
-  | None ->
-      let l = Sorted_ivec.create ~capacity:2 () in
-      Hashtbl.add table key l;
-      l
-
-(* Register the shared list [l] under (first, second) in an index, and
-   account one more triple under that header's vector. *)
-let link index ~first ~second l =
-  let v = Index.get_or_create_vector index first in
-  ignore (Pair_vector.get_or_insert v second (fun () -> l));
-  Pair_vector.bump_total v 1
-
 (* Debug-only hook (see {!Debug}): after a mutation, re-validate every
    vector and list it touched.  Gated on [Debug.enabled] so the cost is a
    single flag read in normal operation. *)
@@ -166,19 +151,19 @@ let debug_validate t { s; p; o } =
   check_vector t.ops o
 
 let add_ids t { s; p; o } =
-  let o_list = get_or_create_list t.o_lists (Pair_key.make s p) in
+  let o_list = Index.get_or_create_list t.o_lists (Pair_key.make s p) in
   if not (Sorted_ivec.add o_list o) then false
   else begin
-    link t.spo ~first:s ~second:p o_list;
-    link t.pso ~first:p ~second:s o_list;
-    let p_list = get_or_create_list t.p_lists (Pair_key.make s o) in
+    Index.link t.spo ~first:s ~second:p o_list;
+    Index.link t.pso ~first:p ~second:s o_list;
+    let p_list = Index.get_or_create_list t.p_lists (Pair_key.make s o) in
     ignore (Sorted_ivec.add p_list p);
-    link t.sop ~first:s ~second:o p_list;
-    link t.osp ~first:o ~second:s p_list;
-    let s_list = get_or_create_list t.s_lists (Pair_key.make p o) in
+    Index.link t.sop ~first:s ~second:o p_list;
+    Index.link t.osp ~first:o ~second:s p_list;
+    let s_list = Index.get_or_create_list t.s_lists (Pair_key.make p o) in
     ignore (Sorted_ivec.add s_list s);
-    link t.pos ~first:p ~second:o s_list;
-    link t.ops ~first:o ~second:p s_list;
+    Index.link t.pos ~first:p ~second:o s_list;
+    Index.link t.ops ~first:o ~second:p s_list;
     t.size <- t.size + 1;
     note_mutation m_insert 1;
     if !Debug.enabled then debug_validate t { s; p; o };
@@ -196,19 +181,6 @@ let mem_ids t { s; p; o } =
     | None -> false
     | Some l -> Sorted_ivec.mem l o
 
-(* Undo one triple's contribution to an index: decrement the header
-   vector's total and, when the shared list has gone empty, unlink the
-   vector entry (and the header when the vector empties). *)
-let unlink index ~first ~second ~list_empty =
-  match Index.find_vector index first with
-  | None -> assert false
-  | Some v ->
-      Pair_vector.bump_total v (-1);
-      if list_empty then begin
-        ignore (Pair_vector.remove v second);
-        if Pair_vector.length v = 0 then ignore (Index.remove_header index first)
-      end
-
 let remove_ids t { s; p; o } =
   let key_sp = Pair_key.make s p in
   match Hashtbl.find_opt t.o_lists key_sp with
@@ -218,8 +190,8 @@ let remove_ids t { s; p; o } =
       else begin
         let o_empty = Sorted_ivec.is_empty o_list in
         if o_empty then Hashtbl.remove t.o_lists key_sp;
-        unlink t.spo ~first:s ~second:p ~list_empty:o_empty;
-        unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
+        Index.unlink t.spo ~first:s ~second:p ~list_empty:o_empty;
+        Index.unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
         let key_so = Pair_key.make s o in
         (match Hashtbl.find_opt t.p_lists key_so with
         | None -> assert false
@@ -227,8 +199,8 @@ let remove_ids t { s; p; o } =
             ignore (Sorted_ivec.remove p_list p);
             let p_empty = Sorted_ivec.is_empty p_list in
             if p_empty then Hashtbl.remove t.p_lists key_so;
-            unlink t.sop ~first:s ~second:o ~list_empty:p_empty;
-            unlink t.osp ~first:o ~second:s ~list_empty:p_empty);
+            Index.unlink t.sop ~first:s ~second:o ~list_empty:p_empty;
+            Index.unlink t.osp ~first:o ~second:s ~list_empty:p_empty);
         let key_po = Pair_key.make p o in
         (match Hashtbl.find_opt t.s_lists key_po with
         | None -> assert false
@@ -236,8 +208,8 @@ let remove_ids t { s; p; o } =
             ignore (Sorted_ivec.remove s_list s);
             let s_empty = Sorted_ivec.is_empty s_list in
             if s_empty then Hashtbl.remove t.s_lists key_po;
-            unlink t.pos ~first:p ~second:o ~list_empty:s_empty;
-            unlink t.ops ~first:o ~second:p ~list_empty:s_empty);
+            Index.unlink t.pos ~first:p ~second:o ~list_empty:s_empty;
+            Index.unlink t.ops ~first:o ~second:p ~list_empty:s_empty);
         t.size <- t.size - 1;
         note_mutation m_delete 1;
         if !Debug.enabled then debug_validate t { s; p; o };
@@ -246,68 +218,39 @@ let remove_ids t { s; p; o } =
 
 (* --- bulk loading --------------------------------------------------- *)
 
-let cmp_spo (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.s b.s in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.p b.p in
-    if c <> 0 then c else Int.compare a.o b.o
+(* The three terminal-list families, each named by the ordering whose
+   first two elements key its lists, with the two indices it feeds. *)
+let families t =
+  [
+    (Ordering.Spo, t.o_lists, [ (Ordering.Spo, t.spo); (Ordering.Pso, t.pso) ]);
+    (Ordering.Sop, t.p_lists, [ (Ordering.Sop, t.sop); (Ordering.Osp, t.osp) ]);
+    (Ordering.Pos, t.s_lists, [ (Ordering.Pos, t.pos); (Ordering.Ops, t.ops) ]);
+  ]
 
-let cmp_sop (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.s b.s in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.p b.p
-
-let cmp_pos (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.s b.s
-
+(* One sort of the batch, then one pass per family (§4.2's six-index
+   update cost, paid as linear merges: see {!Index.add_run}).  The first
+   sort also drops duplicates within the batch and against the store. *)
 let add_bulk_ids t triples =
-  (* Pass A — sorted by (s, p, o): o-lists, spo, pso all receive keys in
-     monotone order, so every insertion hits the O(1) append path on an
-     initially-empty store.  Duplicates (within the batch or against the
-     store) are detected here and excluded from the later passes. *)
-  let arr = Array.copy triples in
-  Array.sort cmp_spo arr;
-  let fresh = ref [] in
-  let fresh_count = ref 0 in
-  Array.iter
-    (fun tr ->
-      let o_list = get_or_create_list t.o_lists (Pair_key.make tr.s tr.p) in
-      if Sorted_ivec.add o_list tr.o then begin
-        link t.spo ~first:tr.s ~second:tr.p o_list;
-        link t.pso ~first:tr.p ~second:tr.s o_list;
-        fresh := tr :: !fresh;
-        incr fresh_count
-      end)
-    arr;
-  let fresh = Array.of_list !fresh in
-  (* Pass B — sorted by (s, o, p): p-lists, sop, osp. *)
-  Array.sort cmp_sop fresh;
-  Array.iter
-    (fun tr ->
-      let p_list = get_or_create_list t.p_lists (Pair_key.make tr.s tr.o) in
-      ignore (Sorted_ivec.add p_list tr.p);
-      link t.sop ~first:tr.s ~second:tr.o p_list;
-      link t.osp ~first:tr.o ~second:tr.s p_list)
-    fresh;
-  (* Pass C — sorted by (p, o, s): s-lists, pos, ops. *)
-  Array.sort cmp_pos fresh;
-  Array.iter
-    (fun tr ->
-      let s_list = get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in
-      ignore (Sorted_ivec.add s_list tr.s);
-      link t.pos ~first:tr.p ~second:tr.o s_list;
-      link t.ops ~first:tr.o ~second:tr.p s_list)
-    fresh;
-  t.size <- t.size + !fresh_count;
-  note_mutation m_insert !fresh_count;
-  !fresh_count
+  Telemetry.Trace.with_span "hexastore.add_bulk" (fun () ->
+      let fresh = Index.sort_run Ordering.Spo ~keep:(fun tr -> not (mem_ids t tr)) triples in
+      List.iter (fun (ord, lists, targets) -> Index.add_run ord lists targets fresh) (families t);
+      let n = Array.length fresh in
+      t.size <- t.size + n;
+      note_mutation m_insert n;
+      if !Debug.enabled then Debug.note_validation ();
+      n)
+
+let remove_bulk_ids t triples =
+  Telemetry.Trace.with_span "hexastore.remove_bulk" (fun () ->
+      let present = Index.sort_run Ordering.Spo ~keep:(mem_ids t) triples in
+      List.iter
+        (fun (ord, lists, targets) -> Index.remove_run ord lists targets present)
+        (families t);
+      let n = Array.length present in
+      t.size <- t.size - n;
+      note_mutation m_delete n;
+      if !Debug.enabled then Debug.note_validation ();
+      n)
 
 (* --- lookup ---------------------------------------------------------- *)
 
@@ -691,6 +634,16 @@ let add_bulk_ids t triples =
   let n = add_bulk_ids t triples in
   if t.repr <> Sorted_ivec.Raw then compress t;
   n
+
+(* Like the point delete, a bulk delete leaves a compressed store raw:
+   the delta flush follows it with [add_bulk_ids], which recompresses
+   once for both. *)
+let remove_bulk_ids t triples =
+  if Array.length triples = 0 then 0
+  else begin
+    if is_flat t then inflate t;
+    remove_bulk_ids t triples
+  end
 
 (* --- term-level API --------------------------------------------------- *)
 

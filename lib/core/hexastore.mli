@@ -83,9 +83,20 @@ val mem_ids : t -> id_triple -> bool
 (** O(log) membership via the shared o-list of (s, p). *)
 
 val add_bulk_ids : t -> id_triple array -> int
-(** Bulk load: sorts the batch once per list family so every index is
-    filled by monotone appends; near-linear on an empty store.  Returns
-    the number of triples actually new. *)
+(** Bulk insert: sorts the batch once per list family and edits every
+    terminal list, pair vector and header vector it touches with one
+    linear merge ({!Index.add_run}), so a batch of k costs
+    O(k log k + size of the structures touched) on an empty store and a
+    populated one alike.  Duplicates, within the batch or against the
+    store, are skipped.  Returns the number of triples actually new.  A
+    store with a compressed target representation ends compressed. *)
+
+val remove_bulk_ids : t -> id_triple array -> int
+(** Bulk delete, the linear counterpart of {!add_bulk_ids}: one sort,
+    then per family one compaction of each touched list, pair vector and
+    header vector ({!Index.remove_run}).  Absent and repeated triples are
+    skipped.  Returns the number of triples actually removed.  Like
+    {!remove_ids}, it leaves a compressed store raw. *)
 
 val lookup : t -> Pattern.t -> id_triple Seq.t
 (** All matching triples, lazily, in the natural order of the index

@@ -39,6 +39,69 @@ val find_list : t -> int -> int -> Vectors.Sorted_ivec.t option
 
 val remove_header : t -> int -> bool
 
+(** {1 Shared terminal lists}
+
+    Every store keeps its terminal lists in tables keyed by the packed
+    pair ({!Vectors.Pair_key}) of an ordering's first two elements, and
+    links each list into that ordering's index and, when materialised,
+    its twin's (§4.1's sharing). *)
+
+val get_or_create_list : (int, Vectors.Sorted_ivec.t) Hashtbl.t -> int -> Vectors.Sorted_ivec.t
+(** The list under a packed key, created empty when absent. *)
+
+val link : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
+(** Point write: register list [l] under (first, second) — creating the
+    header and the key as needed — and count one more triple under the
+    header. *)
+
+val unlink : t -> first:int -> second:int -> list_empty:bool -> unit
+(** Point delete: count one triple less under [first]; when the shared
+    list has emptied, drop the key, and the header once its vector is
+    empty.  @raise Invalid_argument on an unknown header. *)
+
+(** {1 Bulk maintenance}
+
+    The batch forms cost O(H + V + k log k) per index for a batch of k
+    triples — one sort, then one linear merge per header vector, pair
+    vector and terminal list touched — instead of k shifting inserts.
+    New headers and keys that sort after everything present are
+    appended on the spot; lower ones are staged and merged once when
+    the pass ends.  With {!Debug.enabled}, every touched list and index
+    is re-validated. *)
+
+val sort_run :
+  Ordering.t ->
+  keep:(Dict.Term_dict.id_triple -> bool) ->
+  Dict.Term_dict.id_triple array ->
+  Dict.Term_dict.id_triple array
+(** A fresh copy of the batch sorted in the ordering's order, with
+    duplicates and the triples failing [keep] dropped. *)
+
+val add_run :
+  Ordering.t ->
+  (int, Vectors.Sorted_ivec.t) Hashtbl.t ->
+  (Ordering.t * t) list ->
+  Dict.Term_dict.id_triple array ->
+  unit
+(** [add_run ord lists targets run] inserts [run] — distinct triples,
+    none already stored — into one list family: [lists] keyed by the
+    (first, second) elements of [ord] holding its third, linked into
+    each target index, whose ordering must be [ord] or its twin.
+    Sorts [run] in place into [ord] order first (a no-op pass when
+    already sorted).  Totals are bumped; the store's size is the
+    caller's. *)
+
+val remove_run :
+  Ordering.t ->
+  (int, Vectors.Sorted_ivec.t) Hashtbl.t ->
+  (Ordering.t * t) list ->
+  Dict.Term_dict.id_triple array ->
+  unit
+(** The delete counterpart of {!add_run}: every triple of [run] must be
+    stored.  Emptied lists leave [lists]; keys, vectors and headers
+    left empty are pruned.
+    @raise Not_found or Invalid_argument when a triple is absent. *)
+
 val iter : (int -> Pair_vector.t -> unit) -> t -> unit
 (** Over headers in unspecified order (hash order). *)
 

@@ -33,6 +33,16 @@ val twin : t -> t
 (** The ordering sharing this one's terminal lists (§4.1):
     spo↔pso, sop↔osp, pos↔ops. *)
 
+val first : t -> Dict.Term_dict.id_triple -> int
+(** The triple's value at the ordering's first (header) position. *)
+
+val second : t -> Dict.Term_dict.id_triple -> int
+val third : t -> Dict.Term_dict.id_triple -> int
+
+val compare_triples : t -> Dict.Term_dict.id_triple -> Dict.Term_dict.id_triple -> int
+(** Lexicographic comparison on (first, second, third) — the order in
+    which the ordering's index enumerates triples. *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

@@ -135,6 +135,67 @@ let remove v key =
       end
       else false
 
+(* Batch forms of [get_or_insert]/[remove] (the store's bulk paths):
+   one backward in-place merge, or one forward compaction, per vector
+   per batch instead of a key shift and a payload blit through the
+   write barrier per element. *)
+let insert_sorted v keys payloads ~pos ~len =
+  match v with
+  | View _ -> frozen "insert_sorted"
+  | Pv r ->
+      let n = Dynarray_int.length r.keys in
+      let m = n + len in
+      for _ = 1 to len do
+        Dynarray_int.push r.keys 0
+      done;
+      if m > Array.length r.payloads then begin
+        let bigger = Array.make (max m (2 * Array.length r.payloads)) dummy in
+        Array.blit r.payloads 0 bigger 0 n;
+        r.payloads <- bigger
+      end;
+      let i = ref (n - 1) and j = ref (pos + len - 1) and w = ref (m - 1) in
+      while !j >= pos do
+        let k = keys.(!j) in
+        if !j > pos && keys.(!j - 1) >= k then
+          invalid_arg "Pair_vector.insert_sorted: keys not strictly increasing";
+        let ki = if !i >= 0 then Dynarray_int.unsafe_get r.keys !i else min_int in
+        if ki = k then invalid_arg "Pair_vector.insert_sorted: key already present";
+        if ki > k then begin
+          Dynarray_int.set r.keys !w ki;
+          r.payloads.(!w) <- r.payloads.(!i);
+          decr i
+        end
+        else begin
+          Dynarray_int.set r.keys !w k;
+          r.payloads.(!w) <- payloads.(!j);
+          decr j
+        end;
+        decr w
+      done
+
+let remove_sorted v keys ~pos ~len =
+  match v with
+  | View _ -> frozen "remove_sorted"
+  | Pv r ->
+      let n = Dynarray_int.length r.keys in
+      let stop = pos + len in
+      let w = ref 0 and j = ref pos in
+      for i = 0 to n - 1 do
+        let k = Dynarray_int.unsafe_get r.keys i in
+        if !j < stop && keys.(!j) = k then incr j
+        else begin
+          if !j < stop && keys.(!j) < k then invalid_arg "Pair_vector.remove_sorted: key absent";
+          if !w < i then begin
+            Dynarray_int.set r.keys !w k;
+            r.payloads.(!w) <- r.payloads.(i)
+          end;
+          incr w
+        end
+      done;
+      if !j < stop then invalid_arg "Pair_vector.remove_sorted: key absent";
+      Array.fill r.payloads !w (n - !w) dummy;
+      Dynarray_int.truncate r.keys !w
+
 let key_at v i =
   match v with Pv r -> Dynarray_int.get r.keys i | View w -> Sorted_ivec.get w.vkeys i
 

@@ -48,6 +48,22 @@ val get_or_insert : t -> int -> (unit -> Vectors.Sorted_ivec.t) -> Vectors.Sorte
 val remove : t -> int -> bool
 (** Delete a key and its payload reference; [false] when absent. *)
 
+val insert_sorted :
+  t -> int array -> Vectors.Sorted_ivec.t array -> pos:int -> len:int -> unit
+(** [insert_sorted v keys payloads ~pos ~len] inserts the entries
+    [(keys.(i), payloads.(i))] for [i] in [[pos, pos+len)] — keys
+    strictly increasing and absent from [v] — in one backward linear
+    merge: O(length v + len), where {!get_or_insert} would shift keys
+    and payloads once per out-of-order key.  Totals are untouched
+    ({!bump_total} is separate).
+    @raise Invalid_argument on an unsorted run or a key already present. *)
+
+val remove_sorted : t -> int array -> pos:int -> len:int -> unit
+(** [remove_sorted v keys ~pos ~len] deletes the strictly increasing,
+    all-present keys [keys.(pos) .. keys.(pos+len-1)] and their payload
+    references in one forward compaction.
+    @raise Invalid_argument when a key is absent. *)
+
 val key_at : t -> int -> int
 val payload_at : t -> int -> Vectors.Sorted_ivec.t
 

@@ -13,32 +13,22 @@ let roles = function
   | Ordering.Osp -> (Ro, Rs, Rp)
   | Ordering.Ops -> (Ro, Rp, Rs)
 
-(* Terminal-list family of an ordering: which element its lists hold. *)
-type family =
-  | F_o   (* o-lists keyed (s,p): spo, pso *)
-  | F_p   (* p-lists keyed (s,o): sop, osp *)
-  | F_s   (* s-lists keyed (p,o): pos, ops *)
-
+(* Terminal-list family of an ordering, named by the member whose first
+   two elements key its lists: [Spo] (o-lists keyed (s,p): spo, pso),
+   [Sop] (p-lists keyed (s,o): sop, osp), [Pos] (s-lists keyed (p,o):
+   pos, ops). *)
 let family_of = function
-  | Ordering.Spo | Ordering.Pso -> F_o
-  | Ordering.Sop | Ordering.Osp -> F_p
-  | Ordering.Pos | Ordering.Ops -> F_s
+  | Ordering.Spo | Ordering.Pso -> Ordering.Spo
+  | Ordering.Sop | Ordering.Osp -> Ordering.Sop
+  | Ordering.Pos | Ordering.Ops -> Ordering.Pos
 
-let family_key (tr : Dict.Term_dict.id_triple) = function
-  | F_o -> Pair_key.make tr.s tr.p
-  | F_p -> Pair_key.make tr.s tr.o
-  | F_s -> Pair_key.make tr.p tr.o
-
-let family_third (tr : Dict.Term_dict.id_triple) = function
-  | F_o -> tr.o
-  | F_p -> tr.p
-  | F_s -> tr.s
+let family_key tr f = Pair_key.make (Ordering.first f tr) (Ordering.second f tr)
 
 type t = {
   dict : Dict.Term_dict.t;
   kept : Ordering.Set.t;
   indices : (Ordering.t * Index.t) list;
-  families : (family * (int, Sorted_ivec.t) Hashtbl.t) list;
+  families : (Ordering.t * (int, Sorted_ivec.t) Hashtbl.t) list;
   mutable size : int;
 }
 
@@ -50,7 +40,7 @@ let create ?dict ~orderings () =
     List.map (fun ord -> (ord, Index.create ())) (Ordering.Set.elements kept)
   in
   let families =
-    List.sort_uniq compare (List.map family_of (Ordering.Set.elements kept))
+    List.sort_uniq Ordering.compare (List.map family_of (Ordering.Set.elements kept))
     |> List.map (fun f -> (f, Hashtbl.create 1024))
   in
   { dict; kept; indices; families; size = 0 }
@@ -58,11 +48,6 @@ let create ?dict ~orderings () =
 let orderings t = t.kept
 let dict t = t.dict
 let size t = t.size
-
-let get_role (tr : Dict.Term_dict.id_triple) = function
-  | Rs -> tr.s
-  | Rp -> tr.p
-  | Ro -> tr.o
 
 let assemble (r1, r2, r3) x1 x2 x3 : Dict.Term_dict.id_triple =
   let s = ref 0 and p = ref 0 and o = ref 0 in
@@ -72,19 +57,6 @@ let assemble (r1, r2, r3) x1 x2 x3 : Dict.Term_dict.id_triple =
   set r3 x3;
   { s = !s; p = !p; o = !o }
 
-let get_or_create_list table key =
-  match Hashtbl.find_opt table key with
-  | Some l -> l
-  | None ->
-      let l = Sorted_ivec.create ~capacity:2 () in
-      Hashtbl.add table key l;
-      l
-
-let link index ~first ~second l =
-  let v = Index.get_or_create_vector index first in
-  ignore (Pair_vector.get_or_insert v second (fun () -> l));
-  Pair_vector.bump_total v 1
-
 (* Duplicate detection goes through the first materialised family: every
    family's lists characterise the triple set completely. *)
 let primary t = List.hd t.families
@@ -93,82 +65,71 @@ let mem_ids t tr =
   let f, table = primary t in
   match Hashtbl.find_opt table (family_key tr f) with
   | None -> false
-  | Some l -> Sorted_ivec.mem l (family_third tr f)
+  | Some l -> Sorted_ivec.mem l (Ordering.third f tr)
 
-let link_ordering t lists tr ord =
-  let f = family_of ord in
-  let l = List.assq f lists in
-  let r1, r2, _ = roles ord in
-  let idx = List.assoc ord t.indices in
-  link idx ~first:(get_role tr r1) ~second:(get_role tr r2) l
+(* The kept orderings fed by one family, each keyed by its own first
+   two elements. *)
+let targets t f = List.filter (fun (ord, _) -> Ordering.equal (family_of ord) f) t.indices
 
 let add_ids t tr =
   (* Insert into every materialised family; the primary add doubles as
      the duplicate check. *)
   let pf, ptable = primary t in
-  let plist = get_or_create_list ptable (family_key tr pf) in
-  if not (Sorted_ivec.add plist (family_third tr pf)) then false
+  let plist = Index.get_or_create_list ptable (family_key tr pf) in
+  if not (Sorted_ivec.add plist (Ordering.third pf tr)) then false
   else begin
-    let lists =
-      List.map
-        (fun (f, table) ->
-          if f = pf then (f, plist)
+    List.iter
+      (fun (f, table) ->
+        let l =
+          if Ordering.equal f pf then plist
           else begin
-            let l = get_or_create_list table (family_key tr f) in
-            ignore (Sorted_ivec.add l (family_third tr f));
-            (f, l)
-          end)
-        t.families
-    in
-    List.iter (fun (ord, _) -> link_ordering t lists tr ord) t.indices;
+            let l = Index.get_or_create_list table (family_key tr f) in
+            ignore (Sorted_ivec.add l (Ordering.third f tr));
+            l
+          end
+        in
+        List.iter
+          (fun (ord, idx) ->
+            Index.link idx ~first:(Ordering.first ord tr) ~second:(Ordering.second ord tr) l)
+          (targets t f))
+      t.families;
     t.size <- t.size + 1;
     true
   end
 
-let cmp_for_family f (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
-  let key = function
-    | F_o -> fun (x : Dict.Term_dict.id_triple) -> (x.s, x.p, x.o)
-    | F_p -> fun x -> (x.s, x.o, x.p)
-    | F_s -> fun x -> (x.p, x.o, x.s)
-  in
-  compare (key f a) (key f b)
+let remove_ids t tr =
+  if not (mem_ids t tr) then false
+  else begin
+    List.iter
+      (fun (f, table) ->
+        let key = family_key tr f in
+        let l = Hashtbl.find table key in
+        ignore (Sorted_ivec.remove l (Ordering.third f tr));
+        let list_empty = Sorted_ivec.is_empty l in
+        if list_empty then Hashtbl.remove table key;
+        List.iter
+          (fun (ord, idx) ->
+            Index.unlink idx ~first:(Ordering.first ord tr) ~second:(Ordering.second ord tr)
+              ~list_empty)
+          (targets t f))
+      t.families;
+    t.size <- t.size - 1;
+    true
+  end
 
+(* One sorted pass per materialised family ({!Index.add_run}); the
+   primary family's sort also drops duplicates. *)
 let add_bulk_ids t triples =
-  (* One sorted pass per materialised family (monotone appends), plus the
-     orderings of that family; the primary pass also deduplicates. *)
-  let pf, _ = primary t in
-  let arr = Array.copy triples in
-  Array.sort (cmp_for_family pf) arr;
-  let fresh = ref [] in
-  let fresh_count = ref 0 in
-  let pass f table fresh_arr =
-    Array.sort (cmp_for_family f) fresh_arr;
-    Array.iter
-      (fun tr ->
-        let l = get_or_create_list table (family_key tr f) in
-        ignore (Sorted_ivec.add l (family_third tr f));
-        List.iter
-          (fun (ord, _) -> if family_of ord = f then link_ordering t [ (f, l) ] tr ord)
-          t.indices)
-      fresh_arr
-  in
-  (* Primary pass with dedup. *)
-  let _, ptable = primary t in
-  Array.iter
-    (fun tr ->
-      let l = get_or_create_list ptable (family_key tr pf) in
-      if Sorted_ivec.add l (family_third tr pf) then begin
-        List.iter
-          (fun (ord, _) -> if family_of ord = pf then link_ordering t [ (pf, l) ] tr ord)
-          t.indices;
-        fresh := tr :: !fresh;
-        incr fresh_count
-      end)
-    arr;
-  let fresh = Array.of_list !fresh in
-  List.iter (fun (f, table) -> if f <> pf then pass f table fresh) t.families;
-  t.size <- t.size + !fresh_count;
-  !fresh_count
+  let fresh = Index.sort_run (fst (primary t)) ~keep:(fun tr -> not (mem_ids t tr)) triples in
+  List.iter (fun (f, table) -> Index.add_run f table (targets t f) fresh) t.families;
+  t.size <- t.size + Array.length fresh;
+  Array.length fresh
+
+let remove_bulk_ids t triples =
+  let present = Index.sort_run (fst (primary t)) ~keep:(mem_ids t) triples in
+  List.iter (fun (f, table) -> Index.remove_run f table (targets t f) present) t.families;
+  t.size <- t.size - Array.length present;
+  Array.length present
 
 (* --- lookup ------------------------------------------------------------ *)
 

@@ -27,7 +27,14 @@ val size : t -> int
 
 val add_ids : t -> Dict.Term_dict.id_triple -> bool
 
+val remove_ids : t -> Dict.Term_dict.id_triple -> bool
+(** Delete; [false] if absent.  Emptied keys and headers are pruned. *)
+
 val add_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
+
+val remove_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
+(** The linear batch delete (see {!Hexastore.remove_bulk_ids}); returns
+    the number of triples removed. *)
 
 val mem_ids : t -> Dict.Term_dict.id_triple -> bool
 (** O(log) through any present terminal-list family. *)

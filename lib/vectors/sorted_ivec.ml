@@ -181,6 +181,65 @@ let remove v x =
       end
       else false
 
+(* Batch forms of [add]/[remove]: one linear pass over the vector for a
+   whole sorted run instead of one shift per element.  The insert merges
+   backwards in place after growing the array once (to the larger of the
+   exact need and double the old capacity, so repeated batches stay
+   amortised without over-allocating a one-off merge); the removal
+   compacts forwards.  Both check their precondition as they go. *)
+let insert_sorted v a ~pos ~len =
+  match v with
+  | S _ -> frozen "insert_sorted"
+  | R r ->
+      let n = r.len in
+      let m = n + len in
+      if m > Array.length r.data then begin
+        let data = Array.make (max m (2 * Array.length r.data)) 0 in
+        Array.blit r.data 0 data 0 n;
+        r.data <- data
+      end;
+      let d = r.data in
+      (* i: next vector element (from the top), j: next run element,
+         w: next slot to fill. *)
+      let i = ref (n - 1) and j = ref (pos + len - 1) and w = ref (m - 1) in
+      while !j >= pos do
+        let x = Array.unsafe_get a !j in
+        if !j > pos && Array.unsafe_get a (!j - 1) >= x then
+          invalid_arg "Sorted_ivec.insert_sorted: run not strictly increasing";
+        if !i >= 0 && Array.unsafe_get d !i >= x then begin
+          if Array.unsafe_get d !i = x then
+            invalid_arg "Sorted_ivec.insert_sorted: element already present";
+          Array.unsafe_set d !w (Array.unsafe_get d !i);
+          decr i
+        end
+        else begin
+          Array.unsafe_set d !w x;
+          decr j
+        end;
+        decr w
+      done;
+      r.len <- m
+
+let remove_sorted v a ~pos ~len =
+  match v with
+  | S _ -> frozen "remove_sorted"
+  | R r ->
+      let n = r.len and d = r.data in
+      let stop = pos + len in
+      let w = ref 0 and j = ref pos in
+      for i = 0 to n - 1 do
+        let x = Array.unsafe_get d i in
+        if !j < stop && Array.unsafe_get a !j = x then incr j
+        else begin
+          if !j < stop && Array.unsafe_get a !j < x then
+            invalid_arg "Sorted_ivec.remove_sorted: element absent";
+          Array.unsafe_set d !w x;
+          incr w
+        end
+      done;
+      if !j < stop then invalid_arg "Sorted_ivec.remove_sorted: element absent";
+      r.len <- !w
+
 let of_sorted_array a =
   let n = Array.length a in
   for i = 1 to n - 1 do

@@ -92,6 +92,21 @@ val add : t -> int -> bool
 val remove : t -> int -> bool
 (** [remove v x] deletes [x]; returns [false] if absent. *)
 
+val insert_sorted : t -> int array -> pos:int -> len:int -> unit
+(** [insert_sorted v a ~pos ~len] inserts the strictly increasing run
+    [a.(pos) .. a.(pos+len-1)], none of whose elements is in [v], in one
+    backward linear merge: O(length v + len) for the whole run, where
+    [len] calls to {!add} would shift O(length v) elements each.
+    @raise Invalid_argument if the run is not strictly increasing or
+    meets an element already present (the vector may then be left
+    partly merged). *)
+
+val remove_sorted : t -> int array -> pos:int -> len:int -> unit
+(** [remove_sorted v a ~pos ~len] deletes the strictly increasing run
+    [a.(pos) .. a.(pos+len-1)], every element of which is in [v], in one
+    forward compaction.  @raise Invalid_argument when an element of the
+    run is absent. *)
+
 val iter : (int -> unit) -> t -> unit
 
 val iter_from : (int -> unit) -> t -> int -> unit

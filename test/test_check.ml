@@ -369,6 +369,29 @@ let test_debug_hooks_fire () =
       check_int "one validation per successful mutation" (before + 3)
         (Debug.validation_count ()))
 
+let test_debug_hooks_fire_on_batches () =
+  (* The batch paths re-validate every list and index they touched once
+     per call: a bulk load, a bulk delete, and a delta flush (which runs
+     both) each count. *)
+  C.debug := true;
+  Fun.protect
+    ~finally:(fun () -> C.debug := false)
+    (fun () ->
+      let before = Debug.validation_count () in
+      let h = Hexastore.create () in
+      let batch = Array.init 50 (fun i -> t3 (i mod 7) (i mod 3) (50 - i)) in
+      check_int "bulk load adds" 50 (Hexastore.add_bulk_ids h batch);
+      check_int "bulk load validates" (before + 1) (Debug.validation_count ());
+      check_int "bulk delete removes" 10 (Hexastore.remove_bulk_ids h (Array.sub batch 0 10));
+      check_int "bulk delete validates" (before + 2) (Debug.validation_count ());
+      let d = Delta.of_base h in
+      ignore (Delta.remove_ids d (t3 0 0 0));
+      ignore (Delta.remove_ids d batch.(20));
+      ignore (Delta.add_ids d (t3 9 9 9));
+      Delta.flush d;
+      check_int "delta flush validates both batches" (before + 4) (Debug.validation_count ());
+      no_violations "after debug-checked batches" (C.store h))
+
 (* ------------------------------------------------------------------ *)
 (* Lint                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -515,6 +538,7 @@ let () =
         [
           Alcotest.test_case "off by default" `Quick test_debug_off_by_default;
           Alcotest.test_case "fire when enabled" `Quick test_debug_hooks_fire;
+          Alcotest.test_case "fire on batch paths" `Quick test_debug_hooks_fire_on_batches;
         ] );
       ( "lint",
         [

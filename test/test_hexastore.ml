@@ -511,6 +511,118 @@ let prop_lookup_sorted =
           && ascending (fun (x : id3) -> x.p) (Hexastore.lookup h (Pattern.make ~s:tr.s ~o:tr.o ())))
         triples)
 
+(* --- batch paths vs point paths ------------------------------------- *)
+
+(* A populated base plus one insert batch and one delete batch, shaped
+   to hit every staging case of the linear batch merges: a base on even
+   ids with fresh triples over all ids (new headers and keys landing
+   below existing ones), optionally descending order, duplicates within
+   the batch and against the store, deletes of whole header subtrees
+   (emptying pair vectors and headers) and deletes of absent triples. *)
+type batch_case = { base : id3 list; adds : id3 array; dels : id3 array }
+
+let gen_batch_case =
+  let open QCheck.Gen in
+  let triple = map3 t3 (int_bound 11) (int_bound 11) (int_bound 11) in
+  let even = map (fun x -> 2 * x) (int_bound 5) in
+  list_size (int_bound 60) (map3 t3 even even even) >>= fun base ->
+  list_size (int_bound 40) triple >>= fun fresh ->
+  list_size (int_bound 20) triple >>= fun absent ->
+  int_bound 11 >>= fun emptied ->
+  bool >>= fun descending ->
+  bool >>= fun dups ->
+  let order l =
+    if descending then List.sort (fun a b -> T3.compare b a) l else l
+  in
+  let adds = order (if dups then fresh @ fresh @ List.filteri (fun i _ -> i mod 3 = 0) base else fresh) in
+  let whole = List.filter (fun tr -> tr.s = emptied || tr.o = emptied) (base @ fresh) in
+  let dels = order (whole @ absent @ if dups then whole else []) in
+  return { base; adds = Array.of_list adds; dels = Array.of_list dels }
+
+let print_batch_case c =
+  let pr l = String.concat ";" (List.map (fun t -> Printf.sprintf "(%d,%d,%d)" t.s t.p t.o) l) in
+  Printf.sprintf "base=[%s] adds=[%s] dels=[%s]" (pr c.base) (pr (Array.to_list c.adds))
+    (pr (Array.to_list c.dels))
+
+let arbitrary_batch_case = QCheck.make ~print:print_batch_case gen_batch_case
+
+(* Drive the batch entry points of one store against its point entry
+   points on a twin, then demand equal counts, equal answers to every
+   pattern and a clean invariant check after each batch. *)
+let batch_equiv ~create ~add ~remove ~add_bulk ~remove_bulk ~lookup ~size ~check c =
+  let point = create () and batch = create () in
+  List.iter
+    (fun tr ->
+      ignore (add point tr);
+      ignore (add batch tr))
+    c.base;
+  let agree () =
+    check batch;
+    size point = size batch
+    && List.for_all
+         (fun pat -> sorted_triples (lookup point pat) = sorted_triples (lookup batch pat))
+         (all_patterns 12)
+  in
+  let count f xs = Array.fold_left (fun n tr -> if f point tr then n + 1 else n) 0 xs in
+  let added = count add c.adds in
+  let added_ok = add_bulk batch c.adds = added && agree () in
+  let removed = count remove c.dels in
+  added_ok && remove_bulk batch c.dels = removed && agree ()
+
+let prop_batch_hexastore =
+  QCheck.Test.make ~name:"hexastore batch = point (Check.store clean)" ~count:200
+    arbitrary_batch_case
+    (batch_equiv ~create:Hexastore.create ~add:Hexastore.add_ids ~remove:Hexastore.remove_ids
+       ~add_bulk:Hexastore.add_bulk_ids ~remove_bulk:Hexastore.remove_bulk_ids
+       ~lookup:Hexastore.lookup ~size:Hexastore.size ~check:(fun h ->
+         Hexastore.check_invariant h;
+         if Check.store h <> [] then QCheck.Test.fail_report "Check.store reports violations"))
+
+let prop_batch_covp kind name =
+  QCheck.Test.make ~name ~count:150 arbitrary_batch_case
+    (batch_equiv
+       ~create:(fun () -> Covp.create kind)
+       ~add:Covp.add_ids ~remove:Covp.remove_ids ~add_bulk:Covp.add_bulk_ids
+       ~remove_bulk:Covp.remove_bulk_ids ~lookup:Covp.lookup ~size:Covp.size
+       ~check:Covp.check_invariant)
+
+let prop_batch_partial =
+  (* Every family shape: one ordering, a twin pair, and a mixed trio. *)
+  let sets = Ordering.[ [ Ops ]; [ Spo; Pso ]; [ Sop; Pos; Osp ] ] in
+  QCheck.Test.make ~name:"partial batch = point" ~count:100 arbitrary_batch_case (fun c ->
+      List.for_all
+        (fun orderings ->
+          batch_equiv
+            ~create:(fun () -> Partial.create ~orderings ())
+            ~add:Partial.add_ids ~remove:Partial.remove_ids ~add_bulk:Partial.add_bulk_ids
+            ~remove_bulk:Partial.remove_bulk_ids ~lookup:Partial.lookup ~size:Partial.size
+            ~check:Partial.check_invariant c)
+        sets)
+
+(* One flush that both deletes and inserts under the same headers, on a
+   base large enough that the flush merges rather than rebuilds. *)
+let test_delta_flush_same_header () =
+  let base = List.init 300 (fun i -> t3 (2 * (i mod 10)) (2 * (i / 10 mod 5)) (2 * i)) in
+  let h = Hexastore.create () in
+  ignore (Hexastore.add_bulk_ids h (Array.of_list base));
+  let d = Delta.of_base ~insert_threshold:1000 ~delete_threshold:1000 h in
+  let dels = List.filter (fun tr -> tr.s = 4) base in
+  (* New keys (odd properties) and terminals below the existing ones
+     under the header being emptied, plus a brand-new low header. *)
+  let adds = [ t3 4 1 1; t3 4 3 0; t3 4 1 3; t3 1 1 1; t3 6 0 1 ] in
+  List.iter (fun tr -> check_bool "delete staged" true (Delta.remove_ids d tr)) dels;
+  List.iter (fun tr -> check_bool "insert staged" true (Delta.add_ids d tr)) adds;
+  Delta.flush d;
+  check_int "flushed" 0 (Delta.pending_inserts d + Delta.pending_deletes d);
+  let expected =
+    T3set.elements
+      (T3set.union (T3set.of_list adds) (T3set.diff (T3set.of_list base) (T3set.of_list dels)))
+  in
+  Alcotest.check triple_list "contents" expected
+    (sorted_triples (Hexastore.lookup h Pattern.wildcard));
+  Hexastore.check_invariant h;
+  check_int "delta invariant violations" 0 (List.length (Check.delta d))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -550,6 +662,15 @@ let () =
           Alcotest.test_case "covp1_po_scan" `Quick test_covp1_po_scan;
         ] );
       ("store_sig", [ Alcotest.test_case "boxing" `Quick test_store_sig ]);
+      ( "batch",
+        [
+          qt prop_batch_hexastore;
+          qt (prop_batch_covp Covp.Covp1 "covp1 batch = point");
+          qt (prop_batch_covp Covp.Covp2 "covp2 batch = point");
+          qt prop_batch_partial;
+          Alcotest.test_case "delta flush deletes and inserts under one header" `Quick
+            test_delta_flush_same_header;
+        ] );
       ( "properties",
         [
           qt prop_hexa_model;

@@ -183,6 +183,36 @@ let test_trace_spans () =
   Telemetry.Trace.clear ();
   check_int "clear empties" 0 (List.length (Telemetry.Trace.spans ()))
 
+(* The load path's spans: a bulk load nests its sort, the three family
+   passes and each pass's merge under one root, and a bulk delete does
+   the same with unlink passes — so a trace splits build and flush time
+   by phase.  With the gate off the same calls record nothing. *)
+let test_load_spans () =
+  let tr s p o : Hexa.Hexastore.id_triple = { s; p; o } in
+  let batch = Array.init 40 (fun i -> tr (40 - i) (i mod 4) (i mod 9)) in
+  Telemetry.Trace.clear ();
+  ignore (Hexa.Hexastore.add_bulk_ids (Hexa.Hexastore.create ()) batch);
+  check_int "no spans while disabled" 0 (List.length (Telemetry.Trace.spans ()));
+  Telemetry.with_enabled true (fun () ->
+      let h = Hexa.Hexastore.create () in
+      ignore (Hexa.Hexastore.add_bulk_ids h batch);
+      ignore (Hexa.Hexastore.remove_bulk_ids h (Array.sub batch 0 10)));
+  let spans = Telemetry.Trace.spans () in
+  let names = List.map (fun (sp : Telemetry.Trace.span) -> sp.name) spans in
+  List.iter
+    (fun n -> check_bool (n ^ " recorded") true (List.mem n names))
+    [
+      "hexastore.add_bulk"; "hexastore.remove_bulk"; "index.bulk.sort"; "index.bulk.merge";
+      "index.bulk.link.spo"; "index.bulk.link.sop"; "index.bulk.link.pos";
+      "index.bulk.unlink.spo"; "index.bulk.unlink.sop"; "index.bulk.unlink.pos";
+    ];
+  let id_of n =
+    (List.find (fun (sp : Telemetry.Trace.span) -> String.equal sp.name n) spans).id
+  in
+  let pass = List.find (fun (sp : Telemetry.Trace.span) -> sp.name = "index.bulk.link.pos") spans in
+  check_bool "pass nests under the bulk load" true (pass.parent = Some (id_of "hexastore.add_bulk"));
+  Telemetry.Trace.clear ()
+
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -981,6 +1011,7 @@ let () =
         [
           Alcotest.test_case "spans" `Quick test_trace_spans;
           Alcotest.test_case "dropped counter" `Quick test_trace_dropped_counter;
+          Alcotest.test_case "load-path spans" `Quick test_load_spans;
         ] );
       ( "json",
         [

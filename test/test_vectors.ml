@@ -254,6 +254,35 @@ let prop_sivec_ascending_adds_fast_path =
       Sorted_ivec.check_invariant v;
       Sorted_ivec.to_list v = sorted)
 
+(* The batch forms against the set oracle: any disjoint run inserted in
+   one merge, then any present run removed in one compaction, leaves the
+   same set as the per-element forms; overlapping runs are refused. *)
+let prop_sivec_batch_model =
+  QCheck.Test.make ~name:"insert_sorted/remove_sorted = set oracle" ~count:300
+    QCheck.(triple (list (int_bound 60)) (list (int_bound 60)) (list (int_bound 60)))
+    (fun (base, ins, del) ->
+      let base = List.sort_uniq compare base in
+      let v = Sorted_ivec.of_list base in
+      let ins = Array.of_list (List.filter (fun x -> not (List.mem x base)) (List.sort_uniq compare ins)) in
+      Sorted_ivec.insert_sorted v ins ~pos:0 ~len:(Array.length ins);
+      Sorted_ivec.check_invariant v;
+      let after_ins = List.sort_uniq compare (base @ Array.to_list ins) in
+      let del = List.filter (fun x -> List.mem x after_ins) (List.sort_uniq compare del) in
+      let da = Array.of_list (0 :: del) in
+      (* A run taken from the middle of a larger array (pos = 1). *)
+      Sorted_ivec.remove_sorted v da ~pos:1 ~len:(List.length del);
+      Sorted_ivec.check_invariant v;
+      let overlap_refused =
+        match Sorted_ivec.to_list v with
+        | [] -> true
+        | x :: _ -> (
+            match Sorted_ivec.insert_sorted (Sorted_ivec.copy v) [| x |] ~pos:0 ~len:1 with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+      in
+      Sorted_ivec.to_list v = List.filter (fun x -> not (List.mem x del)) after_ins
+      && overlap_refused)
+
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -773,6 +802,7 @@ let () =
           qt prop_sivec_index_geq_oracle;
           qt prop_sivec_set_model;
           qt prop_sivec_ascending_adds_fast_path;
+          qt prop_sivec_batch_model;
           qt prop_search_from_oracle;
         ] );
       ( "merge",
