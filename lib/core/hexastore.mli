@@ -28,10 +28,10 @@ val create : ?dict:Dict.Term_dict.t -> ?repr:Vectors.Sorted_ivec.kind -> unit ->
 (** A fresh empty store.  Pass [dict] to share a mapping table with
     another store (the benchmarks do this so Hexastore and the COVP
     baselines agree on ids).  [repr] selects the index representation:
-    [Raw] (mutable, the default) or a compressed kind that
-    {!add_bulk_ids} re-establishes after every bulk load.  When absent,
-    read from the [HEXASTORE_REPR] environment variable
-    ([raw]/[packed]/[delta_varint]).
+    [Raw] (mutable, the default) or [Packed], the bit-packed flat form
+    that {!add_bulk_ids} re-establishes after every non-empty bulk load.
+    When absent, read from the [HEXASTORE_REPR] environment variable
+    ([raw] or [packed], case-insensitive).
     @raise Invalid_argument on an unknown [HEXASTORE_REPR] value. *)
 
 val dict : t -> Dict.Term_dict.t
@@ -89,7 +89,8 @@ val add_bulk_ids : t -> id_triple array -> int
     O(k log k + size of the structures touched) on an empty store and a
     populated one alike.  Duplicates, within the batch or against the
     store, are skipped.  Returns the number of triples actually new.  A
-    store with a compressed target representation ends compressed. *)
+    store with a compressed target representation ends compressed; an
+    empty batch returns 0 and leaves the store's form untouched. *)
 
 val remove_bulk_ids : t -> id_triple array -> int
 (** Bulk delete, the linear counterpart of {!add_bulk_ids}: one sort,

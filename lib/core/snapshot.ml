@@ -6,19 +6,19 @@ let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
    — inside the checksum — recording the store's configured codec so a
    compressed store round-trips byte-identically (same tag out, same
    tag back in, recompression on load).  Format-1 blobs still load, as
-   raw stores. *)
+   raw stores.  Tag 2 named a second codec (delta + varint) that has
+   since been removed; the payload holds ids, not codec bytes, so such
+   blobs load as packed stores. *)
 let magic = "HEXSNAP2"
 let magic_v1 = "HEXSNAP1"
 
 let repr_tag = function
   | Vectors.Sorted_ivec.Raw -> 0
   | Vectors.Sorted_ivec.Packed -> 1
-  | Vectors.Sorted_ivec.Delta_varint -> 2
 
 let repr_of_tag = function
   | 0 -> Vectors.Sorted_ivec.Raw
-  | 1 -> Vectors.Sorted_ivec.Packed
-  | 2 -> Vectors.Sorted_ivec.Delta_varint
+  | 1 | 2 -> Vectors.Sorted_ivec.Packed
   | b -> corrupt "unknown representation tag %d" b
 
 (* --- FNV-1a 64-bit, over the payload bytes ---------------------------- *)

@@ -6,7 +6,7 @@
      boffs.(b)   — byte offset of the block's first cell in [data]
    A width-[w] cell [j] lives at bit [j*w] past [boffs.(b)]; decoding
    reads the 64-bit little-endian window at byte [boffs.(b) + (j*w)/8]
-   and extracts [w] bits at offset [(j*w) mod 7+1].  Since [w <= 56]
+   and extracts [w] bits at offset [(j*w) land 7].  Since [w <= 56]
    and the in-byte offset is [<= 7], the cell always fits the window —
    widths that would need 57..63 bits are promoted to 64 (raw little-
    endian 8-byte cells holding the value itself, min unused).  [data]

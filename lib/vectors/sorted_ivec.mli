@@ -11,25 +11,24 @@
     O(1) amortised fast path when keys arrive in ascending order (the bulk
     loading case).
 
-    Since PR 10 a sorted vector is either that raw mutable form or an
-    immutable {e slice} of a shared compressed stream ({!Packed_ivec}
-    frame-of-reference bit-packing or {!Delta_ivec} delta+varint).
-    Every read — including the galloping {!search_from} the merge
-    kernels lean on — works on all three representations without
-    materialising arrays; mutations ({!add}, {!remove}, {!clear}) raise
+    A sorted vector is either that raw mutable form or an immutable
+    {e slice} of a shared compressed stream ({!Packed_ivec}
+    frame-of-reference bit-packing, the one codec).  Every read —
+    including the galloping {!search_from} the merge kernels lean on —
+    works on both representations without materialising arrays; mutations ({!add}, {!remove}, {!clear}) raise
     [Invalid_argument] on compressed slices. *)
 
 type t
 
 (** Physical representation of a vector or stream. *)
-type kind = Raw | Packed | Delta_varint
+type kind = Raw | Packed
 
 val kind_name : kind -> string
-(** ["raw"], ["packed"], ["delta_varint"]. *)
+(** ["raw"], ["packed"]. *)
 
 val kind_of_name : string -> kind option
-(** Inverse of {!kind_name} (case-insensitive; ["delta"] also accepted).
-    This parses the [HEXASTORE_REPR] environment variable. *)
+(** Inverse of {!kind_name} (case-insensitive, surrounding blanks
+    ignored).  This parses the [HEXASTORE_REPR] environment variable. *)
 
 val kind_of : t -> kind
 
@@ -148,26 +147,22 @@ val check_invariant : t -> unit
     A [stream] is one big encoded payload shared by many slices — the
     flat index keeps four of them per ordering and exposes every
     terminal list and key run as a 4-word slice header.  Streams are
-    encoded once from a complete array and never mutated. *)
+    encoded once from a complete array and never mutated.  The type is
+    abstract so that no layer above this library depends on the codec. *)
 
 type stream
 
-val stream_of_array : kind -> segments:int array -> int array -> stream
-(** Encodes [a] with the given codec.  [segments] lists the start
-    positions of the monotone runs concatenated in [a] (ascending); the
-    delta codec aligns its blocks on them so every run starts on a
-    block boundary (the bit-packed codec, being order-agnostic, ignores
-    them).  @raise Invalid_argument on [Raw], or if a delta block is
-    not strictly increasing. *)
+val stream_of_array : int array -> stream
+(** Bit-packs [a].  The codec is order-agnostic: [a] may concatenate
+    any number of sorted runs, or hold unsorted offsets. *)
 
 val stream_length : stream -> int
 
 val stream_get : stream -> int -> int
 
 val slice : stream -> off:int -> len:int -> t
-(** A zero-copy view of positions [off, off+len).  For the delta codec
-    the window must be one monotone segment (as declared to
-    {!stream_of_array}).  @raise Invalid_argument out of bounds. *)
+(** A zero-copy view of positions [off, off+len), which must hold a
+    strictly increasing run.  @raise Invalid_argument out of bounds. *)
 
 val stream_memory_words : stream -> int
 (** Exact footprint of the encoded stream, headers included. *)
@@ -176,8 +171,8 @@ val stream_validate : stream -> string list
 (** Codec-level structural audit; empty means sound. *)
 
 val compress : kind -> t -> t
-(** [compress k v] re-encodes [v]'s elements as a standalone
-    single-segment vector of representation [k].  [Raw] materialises a
+(** [compress k v] re-encodes [v]'s elements as a standalone vector of
+    representation [k].  [Raw] materialises a
     mutable copy (identity on already-raw vectors). *)
 
 val block_violations : t -> string list

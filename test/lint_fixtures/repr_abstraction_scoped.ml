@@ -1,7 +1,7 @@
 (* Fixture: repr-abstraction, negative case.  Scanned as lib/vectors/,
-   the codec home, where addressing the codec modules is the whole
+   the codec home, where addressing the codec module is the whole
    point — nothing fires. *)
 
 let widths xs = Packed_ivec.of_array xs
 
-let gaps v i = Delta_ivec.get v i
+let cell v i = Packed_ivec.get v i

@@ -599,6 +599,48 @@ let prop_batch_partial =
             ~check:Partial.check_invariant c)
         sets)
 
+(* [HEXASTORE_REPR] picks the representation of a store created without
+   [~repr]: exactly "raw" and "packed", case-insensitive and trimmed. *)
+let test_repr_env () =
+  let saved = Option.value (Sys.getenv_opt "HEXASTORE_REPR") ~default:"" in
+  let with_env v f =
+    Unix.putenv "HEXASTORE_REPR" v;
+    Fun.protect ~finally:(fun () -> Unix.putenv "HEXASTORE_REPR" saved) f
+  in
+  List.iter
+    (fun (v, want) ->
+      with_env v (fun () ->
+          Alcotest.(check string) (Printf.sprintf "%S" v) want
+            (Sorted_ivec.kind_name (Hexastore.repr (Hexastore.create ())))))
+    [ ("", "raw"); ("raw", "raw"); (" RAW ", "raw"); ("packed", "packed");
+      ("\tPacked\n", "packed") ];
+  List.iter
+    (fun v ->
+      with_env v (fun () ->
+          Alcotest.check_raises v
+            (Invalid_argument (Printf.sprintf "HEXASTORE_REPR: unknown representation %S" v))
+            (fun () -> ignore (Hexastore.create ()))))
+    [ "delta_varint"; "delta"; "zstd" ]
+
+(* An empty bulk add on a flat store is a no-op: no inflate, no
+   re-encode, so no bulk-maintenance span either. *)
+let test_empty_bulk_add_flat () =
+  let h = Hexastore.create ~repr:Sorted_ivec.Packed () in
+  ignore (Hexastore.add_bulk_ids h (Array.init 50 (fun i -> t3 (i mod 7) (i mod 3) i)));
+  check_bool "bulk load ends flat" true (Hexastore.is_flat h);
+  Telemetry.Trace.clear ();
+  let added = Telemetry.with_enabled true (fun () -> Hexastore.add_bulk_ids h [||]) in
+  let bulk_spans =
+    List.filter
+      (fun (sp : Telemetry.Trace.span) -> String.starts_with ~prefix:"index.bulk." sp.name)
+      (Telemetry.Trace.spans ())
+  in
+  Telemetry.Trace.clear ();
+  check_int "nothing added" 0 added;
+  check_bool "still flat" true (Hexastore.is_flat h);
+  check_int "no index.bulk.* span" 0 (List.length bulk_spans);
+  check_int "size kept" 50 (Hexastore.size h)
+
 (* One flush that both deletes and inserts under the same headers, on a
    base large enough that the flush merges rather than rebuilds. *)
 let test_delta_flush_same_header () =
@@ -662,6 +704,12 @@ let () =
           Alcotest.test_case "covp1_po_scan" `Quick test_covp1_po_scan;
         ] );
       ("store_sig", [ Alcotest.test_case "boxing" `Quick test_store_sig ]);
+      ( "repr",
+        [
+          Alcotest.test_case "HEXASTORE_REPR values" `Quick test_repr_env;
+          Alcotest.test_case "empty bulk add keeps a flat store flat" `Quick
+            test_empty_bulk_add_flat;
+        ] );
       ( "batch",
         [
           qt prop_batch_hexastore;

@@ -585,13 +585,10 @@ let test_gallop_interleaved_runs () =
     [ 50; 100; 199; 250; 399; 650; 699; 701 ]
 
 (* ------------------------------------------------------------------ *)
-(* Pair_key                                                            *)
-(* ------------------------------------------------------------------ *)
-(* Compressed codecs (PR 10)                                           *)
+(* Compressed codec                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let compressed_kinds = Sorted_ivec.[ Packed; Delta_varint ]
-let kname = Sorted_ivec.kind_name
+let packed = Sorted_ivec.Packed
 let check_string_list = Alcotest.(check (list string))
 
 (* Hand-picked encodings that stress the block format: all-equal deltas
@@ -613,27 +610,23 @@ let adversarial_cases =
 
 let test_codec_roundtrip_adversarial () =
   List.iter
-    (fun kind ->
-      List.iter
-        (fun (label, xs0) ->
-          let name = Printf.sprintf "%s/%s" (kname kind) label in
-          let xs = List.sort_uniq compare xs0 in
-          let raw = Sorted_ivec.of_list xs in
-          let c = Sorted_ivec.compress kind raw in
-          check_int_list (name ^ " roundtrip") xs (Sorted_ivec.to_list c);
-          check_bool (name ^ " equal raw") true (Sorted_ivec.equal c raw);
-          check_string_list (name ^ " block headers") [] (Sorted_ivec.block_violations c);
-          Sorted_ivec.check_invariant c;
-          List.iteri (fun i x -> check_int (name ^ " get") x (Sorted_ivec.get c i)) xs;
-          (* decompressing restores a mutable vector *)
-          let back = Sorted_ivec.compress Sorted_ivec.Raw c in
-          check_bool (name ^ " back to raw") false (Sorted_ivec.is_compressed back);
-          check_int_list (name ^ " raw roundtrip") xs (Sorted_ivec.to_list back))
-        adversarial_cases)
-    compressed_kinds
+    (fun (name, xs0) ->
+      let xs = List.sort_uniq compare xs0 in
+      let raw = Sorted_ivec.of_list xs in
+      let c = Sorted_ivec.compress packed raw in
+      check_int_list (name ^ " roundtrip") xs (Sorted_ivec.to_list c);
+      check_bool (name ^ " equal raw") true (Sorted_ivec.equal c raw);
+      check_string_list (name ^ " block headers") [] (Sorted_ivec.block_violations c);
+      Sorted_ivec.check_invariant c;
+      List.iteri (fun i x -> check_int (name ^ " get") x (Sorted_ivec.get c i)) xs;
+      (* decompressing restores a mutable vector *)
+      let back = Sorted_ivec.compress Sorted_ivec.Raw c in
+      check_bool (name ^ " back to raw") false (Sorted_ivec.is_compressed back);
+      check_int_list (name ^ " raw roundtrip") xs (Sorted_ivec.to_list back))
+    adversarial_cases
 
 let test_codec_frozen () =
-  let c = Sorted_ivec.compress Sorted_ivec.Packed (Sorted_ivec.of_list [ 1; 2; 3 ]) in
+  let c = Sorted_ivec.compress packed (Sorted_ivec.of_list [ 1; 2; 3 ]) in
   check_bool "is_compressed" true (Sorted_ivec.is_compressed c);
   Alcotest.check_raises "add" (Invalid_argument "Sorted_ivec.add: compressed vector is immutable")
     (fun () -> ignore (Sorted_ivec.add c 9));
@@ -650,77 +643,43 @@ let test_codec_frozen () =
 
 (* A stream shared by several monotone runs, sliced the way the flat
    index slices its terminal stream; every read on a slice must agree
-   with a raw rebuild of that run. *)
+   with a raw rebuild of that run.  The runs include a singleton and
+   one that crosses a 128-entry block boundary. *)
 let test_codec_stream_slices () =
   let runs = [ [ 5; 9; 12 ]; [ 1; 2; 3; 4 ]; List.init 200 (fun i -> 2 * i); [ 42 ] ] in
   let flat = Array.of_list (List.concat runs) in
-  let segments =
-    let acc = ref 0 in
-    Array.of_list
-      (List.map
-         (fun r ->
-           let s = !acc in
-           acc := s + List.length r;
-           s)
-         runs)
-  in
+  let s = Sorted_ivec.stream_of_array flat in
+  check_int "stream_length" (Array.length flat) (Sorted_ivec.stream_length s);
+  Array.iteri (fun i x -> check_int "stream_get" x (Sorted_ivec.stream_get s i)) flat;
+  check_string_list "stream_validate" [] (Sorted_ivec.stream_validate s);
+  let off = ref 0 in
   List.iter
-    (fun kind ->
-      let s = Sorted_ivec.stream_of_array kind ~segments flat in
-      check_int (kname kind ^ " stream_length") (Array.length flat) (Sorted_ivec.stream_length s);
-      Array.iteri (fun i x -> check_int (kname kind ^ " stream_get") x (Sorted_ivec.stream_get s i)) flat;
-      check_string_list (kname kind ^ " stream_validate") [] (Sorted_ivec.stream_validate s);
-      let off = ref 0 in
-      List.iter
-        (fun r ->
-          let len = List.length r in
-          let sl = Sorted_ivec.slice s ~off:!off ~len in
-          let raw = Sorted_ivec.of_list r in
-          check_int_list (kname kind ^ " slice") r (Sorted_ivec.to_list sl);
-          let hi = List.fold_left max 0 r + 2 in
-          for x = 0 to hi do
-            check_int (kname kind ^ " slice index_geq") (Sorted_ivec.index_geq raw x)
-              (Sorted_ivec.index_geq sl x);
-            for from = 0 to len do
-              check_int (kname kind ^ " slice search_from") (Sorted_ivec.search_from raw ~from x)
-                (Sorted_ivec.search_from sl ~from x)
-            done
-          done;
-          off := !off + len)
-        runs)
-    compressed_kinds
-
-(* Segment-per-element streams: every delta block is a singleton, the
-   degenerate block shape. *)
-let test_codec_singleton_segments () =
-  let n = 150 in
-  let flat = Array.init n (fun i -> ((i * 13) mod 7) + i) in
-  let segments = Array.init n (fun i -> i) in
-  List.iter
-    (fun kind ->
-      let s = Sorted_ivec.stream_of_array kind ~segments flat in
-      check_string_list (kname kind ^ " validate") [] (Sorted_ivec.stream_validate s);
-      Array.iteri
-        (fun i x ->
-          check_int (kname kind ^ " get") x (Sorted_ivec.stream_get s i);
-          let sl = Sorted_ivec.slice s ~off:i ~len:1 in
-          check_int_list (kname kind ^ " slice") [ x ] (Sorted_ivec.to_list sl))
-        flat)
-    compressed_kinds
+    (fun r ->
+      let len = List.length r in
+      let sl = Sorted_ivec.slice s ~off:!off ~len in
+      let raw = Sorted_ivec.of_list r in
+      check_int_list "slice" r (Sorted_ivec.to_list sl);
+      let hi = List.fold_left max 0 r + 2 in
+      for x = 0 to hi do
+        check_int "slice index_geq" (Sorted_ivec.index_geq raw x) (Sorted_ivec.index_geq sl x);
+        for from = 0 to len do
+          check_int "slice search_from" (Sorted_ivec.search_from raw ~from x)
+            (Sorted_ivec.search_from sl ~from x)
+        done
+      done;
+      off := !off + len)
+    runs
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec encode∘decode = id, monotone blocks" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 350) (int_bound 100000))
     (fun xs ->
       let raw = Sorted_ivec.of_list xs in
-      List.for_all
-        (fun kind ->
-          let c = Sorted_ivec.compress kind raw in
-          Sorted_ivec.block_violations c = []
-          && Sorted_ivec.to_list c = Sorted_ivec.to_list raw
-          && Sorted_ivec.length c = Sorted_ivec.length raw
-          && Sorted_ivec.equal c raw)
-        compressed_kinds)
+      let c = Sorted_ivec.compress packed raw in
+      Sorted_ivec.block_violations c = []
+      && Sorted_ivec.to_list c = Sorted_ivec.to_list raw
+      && Sorted_ivec.length c = Sorted_ivec.length raw
+      && Sorted_ivec.equal c raw)
 
 let prop_codec_search_oracle =
   QCheck.Test.make ~name:"compressed search_from/index_geq ≡ raw oracle" ~count:300
@@ -730,17 +689,16 @@ let prop_codec_search_oracle =
       let raw = Sorted_ivec.of_list xs in
       let n = Sorted_ivec.length raw in
       let from = from0 mod (n + 1) in
-      List.for_all
-        (fun kind ->
-          let c = Sorted_ivec.compress kind raw in
-          Sorted_ivec.index_geq c x = Sorted_ivec.index_geq raw x
-          && Sorted_ivec.search_from c ~from x = Sorted_ivec.search_from raw ~from x
-          && Sorted_ivec.find_geq c x = Sorted_ivec.find_geq raw x
-          && Sorted_ivec.mem c x = Sorted_ivec.mem raw x
-          && Sorted_ivec.to_seq_from c x |> List.of_seq
-             = (Sorted_ivec.to_seq_from raw x |> List.of_seq))
-        compressed_kinds)
+      let c = Sorted_ivec.compress packed raw in
+      Sorted_ivec.index_geq c x = Sorted_ivec.index_geq raw x
+      && Sorted_ivec.search_from c ~from x = Sorted_ivec.search_from raw ~from x
+      && Sorted_ivec.find_geq c x = Sorted_ivec.find_geq raw x
+      && Sorted_ivec.mem c x = Sorted_ivec.mem raw x
+      && Sorted_ivec.to_seq_from c x |> List.of_seq
+         = (Sorted_ivec.to_seq_from raw x |> List.of_seq))
 
+(* ------------------------------------------------------------------ *)
+(* Pair_key                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_pair_key_roundtrip () =
@@ -838,7 +796,6 @@ let () =
           Alcotest.test_case "adversarial roundtrips" `Quick test_codec_roundtrip_adversarial;
           Alcotest.test_case "frozen mutations" `Quick test_codec_frozen;
           Alcotest.test_case "stream slices" `Quick test_codec_stream_slices;
-          Alcotest.test_case "singleton segments" `Quick test_codec_singleton_segments;
           qt prop_codec_roundtrip;
           qt prop_codec_search_oracle;
         ] );
